@@ -52,7 +52,7 @@ from .codes.repetition import RepetitionCode, build_repetition_memory_circuit
 from .codes.rotated import RotatedSurfaceCode, Stabilizer
 from .decoders.astrea import AstreaDecoder, HW6Decoder, exhaustive_search
 from .decoders.astrea_g import AstreaGDecoder, PipelineSnapshot, weight_threshold_for
-from .decoders.base import BOUNDARY, DecodeResult, Decoder
+from .decoders.base import BOUNDARY, DecodeBatch, DecodeResult, Decoder
 from .decoders.clique import CliqueDecoder
 from .decoders.correction import PhysicalCorrection, matching_to_correction
 from .decoders.lilliput import LilliputDecoder, lut_size_bytes
@@ -116,6 +116,7 @@ __all__ = [
     "Circuit",
     "CliqueDecoder",
     "CompressionReport",
+    "DecodeBatch",
     "DecodeResult",
     "Decoder",
     "DecoderHandle",

@@ -2,7 +2,7 @@
 
 from .astrea import AstreaDecoder, HW6Decoder, exhaustive_search
 from .astrea_g import AstreaGDecoder, PipelineSnapshot, weight_threshold_for
-from .base import BOUNDARY, DecodeResult, Decoder
+from .base import BOUNDARY, DecodeBatch, DecodeResult, Decoder
 from .cascade import (
     Cascade,
     CascadeDecoder,
@@ -43,6 +43,7 @@ __all__ = [
     "CascadeTier",
     "CliqueDecoder",
     "ClosedFormTier",
+    "DecodeBatch",
     "DecodeResult",
     "Decoder",
     "DecoderTier",

@@ -14,14 +14,18 @@ observable flip sampled alongside the syndrome; the experiment harness in
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from itertools import chain
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..backend import from_device
 
 __all__ = [
+    "DecodeBatch",
     "DecodeResult",
     "Decoder",
     "DecoderFallbackWarning",
@@ -168,6 +172,229 @@ class DecodeResult:
     latency_ns: float = 0.0
     decoded: bool = True
     timed_out: bool = False
+
+
+def _column(values, dtype, num: int, default) -> np.ndarray:
+    """One ``(num,)`` column; None or a scalar broadcasts to every row."""
+    if values is None:
+        values = default
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim == 0:
+        return np.full(num, arr, dtype=dtype)
+    if arr.shape != (num,):
+        raise ValueError(f"column has shape {arr.shape}, expected ({num},)")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class DecodeBatch(Sequence[DecodeResult]):
+    """Columnar decode results of a syndrome matrix, one row per syndrome.
+
+    A read-only sequence of :class:`DecodeResult`: indexing or iterating
+    builds the per-row objects on demand, while bulk consumers (the
+    memory-experiment tally, the runners) read the arrays directly.  The
+    matchings are stored offset-indexed: row ``i``'s pairs are
+    ``zip(first[offsets[i]:offsets[i + 1]], second[...])``, in the order
+    :class:`DecodeResult.matching` lists them.  Columns left as None (or
+    given as a scalar) fill every row with the :class:`DecodeResult`
+    default (or that scalar).  The arrays are frozen in place.
+
+    Attributes:
+        predictions: ``(N,)`` bool predicted logical flips.
+        weights: ``(N,)`` float64 matching weights.
+        offsets: ``(N + 1,)`` row boundaries into ``first``/``second``.
+        first: ``(P,)`` first detector of each matched pair.
+        second: ``(P,)`` partner of each pair (:data:`BOUNDARY` for a
+            boundary match).
+        cycles: ``(N,)`` int64 modeled hardware cycles.
+        latency_ns: ``(N,)`` float64 latency estimates.
+        decoded: ``(N,)`` bool; False where the decoder declined the row.
+        timed_out: ``(N,)`` bool; True where a deadline cut the search.
+    """
+
+    predictions: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    cycles: np.ndarray | None = None
+    latency_ns: np.ndarray | None = None
+    decoded: np.ndarray | None = None
+    timed_out: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        predictions = np.asarray(self.predictions, dtype=bool)
+        if predictions.ndim != 1:
+            raise ValueError("predictions must be a 1-D column")
+        num = predictions.shape[0]
+        offsets = np.asarray(self.offsets, dtype=np.intp)
+        if offsets.shape != (num + 1,) or offsets[0] != 0:
+            raise ValueError(
+                f"offsets must be ({num + 1},) starting at 0, got shape "
+                f"{offsets.shape}"
+            )
+        total = int(offsets[-1])
+        columns = {
+            "predictions": predictions,
+            "weights": _column(self.weights, np.float64, num, 0.0),
+            "offsets": offsets,
+            "first": _column(self.first, np.intp, total, 0),
+            "second": _column(self.second, np.intp, total, 0),
+            "cycles": _column(self.cycles, np.int64, num, 0),
+            "latency_ns": _column(self.latency_ns, np.float64, num, 0.0),
+            "decoded": _column(self.decoded, bool, num, True),
+            "timed_out": _column(self.timed_out, bool, num, False),
+        }
+        for name, arr in columns.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled columns are frozen too.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def from_solutions(
+        cls,
+        solutions: Sequence[tuple[Sequence[tuple[int, int]], float, bool]],
+        **columns,
+    ) -> DecodeBatch:
+        """Batch from per-row ``(pairs, weight, prediction)`` solutions, the
+        matching engines' answer format, plus any other columns."""
+        return cls._from_matchings(
+            [pairs for pairs, _, _ in solutions],
+            weights=[weight for _, weight, _ in solutions],
+            predictions=[prediction for _, _, prediction in solutions],
+            **columns,
+        )
+
+    @classmethod
+    def from_results(cls, results: Sequence[DecodeResult]) -> DecodeBatch:
+        """Columnar view of any decoder's results (a batch is returned as is)."""
+        if isinstance(results, DecodeBatch):
+            return results
+        return cls._from_matchings(
+            [r.matching for r in results],
+            predictions=[r.prediction for r in results],
+            weights=[r.weight for r in results],
+            cycles=[r.cycles for r in results],
+            latency_ns=[r.latency_ns for r in results],
+            decoded=[r.decoded for r in results],
+            timed_out=[r.timed_out for r in results],
+        )
+
+    @classmethod
+    def _from_matchings(
+        cls, matchings: Sequence[Sequence[tuple[int, int]]], **columns
+    ) -> DecodeBatch:
+        # Flattened straight into an array: no per-pair objects are built.
+        offsets = np.zeros(len(matchings) + 1, dtype=np.intp)
+        np.cumsum(list(map(len, matchings)), out=offsets[1:])
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(matchings)),
+            dtype=np.intp,
+            count=2 * int(offsets[-1]),
+        )
+        return cls(offsets=offsets, first=flat[0::2], second=flat[1::2], **columns)
+
+    @classmethod
+    def concat(cls, parts: Sequence[DecodeBatch]) -> DecodeBatch:
+        """Rows of ``parts`` one after another."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.from_solutions([])
+        offsets = [np.zeros(1, dtype=np.intp)]
+        base = 0
+        for part in parts:
+            offsets.append(part.offsets[1:] + base)
+            base += int(part.offsets[-1])
+        return cls(
+            offsets=np.concatenate(offsets),
+            **{
+                f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                for f in fields(cls)
+                if f.name != "offsets"
+            },
+        )
+
+    def __len__(self) -> int:
+        return self.predictions.shape[0]
+
+    def __getitem__(self, index):
+        """One row as a :class:`DecodeResult`; a slice or an integer
+        array of rows as a new :class:`DecodeBatch`."""
+        if isinstance(index, slice):
+            return self._take(np.arange(len(self))[index])
+        if isinstance(index, (np.ndarray, list)):
+            rows = np.asarray(index)
+            if rows.dtype == bool:
+                rows = np.nonzero(rows)[0]
+            return self._take(rows.astype(np.intp, copy=False))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {index} out of range for {len(self)} rows")
+        start, stop = self.offsets[i], self.offsets[i + 1]
+        return DecodeResult(
+            prediction=bool(self.predictions[i]),
+            matching=list(
+                zip(self.first[start:stop].tolist(), self.second[start:stop].tolist())
+            ),
+            weight=float(self.weights[i]),
+            cycles=int(self.cycles[i]),
+            latency_ns=float(self.latency_ns[i]),
+            decoded=bool(self.decoded[i]),
+            timed_out=bool(self.timed_out[i]),
+        )
+
+    def __iter__(self):
+        first = self.first.tolist()
+        second = self.second.tolist()
+        bounds = self.offsets.tolist()
+        for i, (prediction, weight, cycles, latency, decoded, timed_out) in enumerate(
+            zip(
+                self.predictions.tolist(),
+                self.weights.tolist(),
+                self.cycles.tolist(),
+                self.latency_ns.tolist(),
+                self.decoded.tolist(),
+                self.timed_out.tolist(),
+            )
+        ):
+            start, stop = bounds[i], bounds[i + 1]
+            yield DecodeResult(
+                prediction,
+                list(zip(first[start:stop], second[start:stop])),
+                weight,
+                cycles,
+                latency,
+                decoded,
+                timed_out,
+            )
+
+    def _take(self, rows: np.ndarray) -> DecodeBatch:
+        """The given rows, in the given order."""
+        if rows.size and (rows.min() < -len(self) or rows.max() >= len(self)):
+            raise IndexError(f"row index out of range for {len(self)} rows")
+        rows = rows % max(len(self), 1)
+        counts = self.offsets[rows + 1] - self.offsets[rows]
+        offsets = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        gather = np.repeat(self.offsets[rows] - offsets[:-1], counts) + np.arange(
+            offsets[-1]
+        )
+        return type(self)(
+            offsets=offsets,
+            first=self.first[gather],
+            second=self.second[gather],
+            **{
+                f.name: getattr(self, f.name)[rows]
+                for f in fields(self)
+                if f.name not in ("offsets", "first", "second")
+            },
+        )
 
 
 class Decoder(ABC):

@@ -6,12 +6,15 @@ uses as its accuracy baseline (section 3.3) and as the subject of Figure 3
 exact-matching engine (:mod:`repro.matching.sparse`): syndromes decompose
 into independent defect clusters, small clusters are solved by closed
 forms or the vectorized exhaustive-search kernels, and cluster solutions
-are memoized.  Syndromes the table engine cannot certify (unsafe pairs)
-and clusters too large for the search kernels route to the graph-local
-sparse-blossom engine (:mod:`repro.matching.sparse_blossom`) when one is
-attached; without one the engine raises and the decoder degrades to a
-dense reference solve (:mod:`repro.matching.blossom`) with a warning, so
-accuracy is that of exact MWPM either way.  ``use_sparse=False`` selects
+are memoized on the per-syndrome path (batches dedup their own clusters
+and answer in columns, as a :class:`~repro.decoders.base.DecodeBatch`).
+Syndromes the table engine cannot certify (unsafe pairs) and clusters
+too large for the search kernels route to the graph-local sparse-blossom
+engine (:mod:`repro.matching.sparse_blossom`) when one is attached;
+without one the engine refuses the syndrome and the decoder degrades
+that syndrome alone to a dense reference solve
+(:mod:`repro.matching.blossom`) with a warning, so accuracy is that of
+exact MWPM either way.  ``use_sparse=False`` selects
 the always-dense reference path.
 
 Three constructions matter:
@@ -35,8 +38,8 @@ amortized into each row's latency so batched and per-row stats compare.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import operator
 import time
 
 import numpy as np
@@ -47,6 +50,7 @@ from ..matching.boundary import MatchingProblem
 from ..matching.sparse import SparseEngineError, SparseMatchingEngine, SparseStats
 from ..matching.sparse_blossom import SparseBlossomEngine
 from .base import (
+    DecodeBatch,
     DecodeResult,
     Decoder,
     matching_to_detectors,
@@ -77,7 +81,8 @@ class MWPMDecoder(Decoder):
             syndrome -- the reference the sparse engine is validated
             against; requires a weight table.
         sparse_cache_size: LRU capacity of the sparse engines' cluster
-            caches (ignored when ``use_sparse`` is False).
+            caches (ignored when ``use_sparse`` is False).  The table
+            engine's cache serves per-syndrome :meth:`decode` only.
         structure: Pre-built neighbor structure for ``gwt`` (e.g. from the
             pipeline's artifact store), forwarded to the sparse engine so
             construction skips its radius/separability scan.
@@ -223,26 +228,27 @@ class MWPMDecoder(Decoder):
             weight=problem.total_weight(pairs),
         )
 
-    def decode_batch(self, syndromes: np.ndarray) -> list[DecodeResult]:
+    def decode_batch(self, syndromes: np.ndarray) -> DecodeBatch:
         """Decode a (shots, detectors) syndrome matrix in bulk.
 
-        On the sparse path the active indices of all rows are extracted
-        with one ``np.nonzero`` and each row runs through the cluster
-        engine (whose memoization is what makes bulk decoding fast).  On
-        the dense path syndromes are bucketed by Hamming weight so each
-        bucket's matching problems are constructed with one GWT gather
-        (:meth:`MatchingProblem.from_syndrome_batch`) instead of one per
-        row.  Either way results are identical to per-row :meth:`decode`,
-        and shared per-batch construction time is amortized into each
-        row's ``latency_ns`` so latency stats stay comparable with the
-        per-row path.
+        On the sparse path the engine solves the whole matrix at once
+        (:meth:`SparseMatchingEngine.solve_batch`) and answers in columns.
+        Rows it refuses or answers with a non-finite weight are re-decoded
+        densely, each escalated and counted exactly as :meth:`decode`
+        would.  On the dense path syndromes are bucketed by Hamming weight
+        so each bucket's matching problems are constructed with one GWT
+        gather (:meth:`MatchingProblem.from_syndrome_batch`) instead of
+        one per row.  Either way row ``i`` equals :meth:`decode` of row
+        ``i``, counters included, and shared per-batch time is amortized
+        into each row's ``latency_ns`` so latency stats stay comparable
+        with the per-row path.
         """
         syndromes = validate_syndrome_batch(syndromes, self.syndrome_length)
         if self._engine is not None:
             return self._decode_batch_sparse(syndromes)
         return self._decode_batch_dense(syndromes)
 
-    def _decode_batch_sparse(self, syndromes: np.ndarray) -> list[DecodeResult]:
+    def _decode_batch_sparse(self, syndromes: np.ndarray) -> DecodeBatch:
         num = syndromes.shape[0]
         start = time.perf_counter() if self.measure_time else 0.0
         try:
@@ -252,19 +258,9 @@ class MWPMDecoder(Decoder):
         except Exception as exc:
             self._engine_error()
             return self._recover_batch(exc, syndromes)
-        # A finite total certifies every summand is finite (inf/NaN would
-        # poison the sum), so the per-row scan runs only on the bad path.
-        if not math.isfinite(sum(map(operator.itemgetter(1), solved))):
-            bad = next(
-                w for _pairs, w, _pred in solved if not math.isfinite(w)
-            )
-            self._engine_error()
-            return self._recover_batch(
-                SparseEngineError(
-                    f"non-finite matching weight {bad!r} in batch"
-                ),
-                syndromes,
-            )
+        if not isinstance(solved, DecodeBatch):
+            # The graph-only engine answers with (pairs, weight, prediction).
+            solved = DecodeBatch.from_solutions(solved)
         # Bucketed solving shares nearly all of its work across rows, so
         # the honest per-row latency is the amortized batch wall-clock.
         shared_ns = (
@@ -272,20 +268,34 @@ class MWPMDecoder(Decoder):
             if self.measure_time and num
             else 0.0
         )
-        return [
-            DecodeResult(prediction, pairs, weight, 0, shared_ns)
-            for pairs, weight, prediction in solved
-        ]
+        batch = dataclasses.replace(solved, latency_ns=shared_ns)
+        broken = solved.decoded & ~np.isfinite(solved.weights)
+        redo = np.flatnonzero(~solved.decoded | broken)
+        if redo.size == 0:
+            return batch
+        for i in redo.tolist():
+            if broken[i]:
+                self._engine_error()
+                exc = SparseEngineError(
+                    f"non-finite matching weight {float(solved.weights[i])!r}"
+                )
+            else:
+                exc = self._engine.refusal()
+            if not self._escalation.escalate(type(exc).__name__, str(exc)):
+                raise exc
+        dense = self._decode_batch_dense(syndromes[redo])
+        dense = dataclasses.replace(dense, latency_ns=dense.latency_ns + shared_ns)
+        rows = np.arange(num)
+        rows[redo] = num + np.arange(redo.size)
+        return DecodeBatch.concat([batch, dense])[rows]
 
-    def _recover_batch(
-        self, exc: Exception, syndromes: np.ndarray
-    ) -> list[DecodeResult]:
+    def _recover_batch(self, exc: Exception, syndromes: np.ndarray) -> DecodeBatch:
         """Degrade one failed sparse batch to the dense reference path."""
         if not self._escalation.escalate(type(exc).__name__, str(exc)):
             raise exc
         return self._decode_batch_dense(syndromes)
 
-    def _decode_batch_dense(self, syndromes: np.ndarray) -> list[DecodeResult]:
+    def _decode_batch_dense(self, syndromes: np.ndarray) -> DecodeBatch:
         results: list[DecodeResult | None] = [None] * syndromes.shape[0]
         hw = syndromes.sum(axis=1)
         for w in np.unique(hw):
@@ -317,4 +327,4 @@ class MWPMDecoder(Decoder):
                         (time.perf_counter() - start) * 1e9 + shared_ns
                     )
                 results[i] = result
-        return results
+        return DecodeBatch.from_results(results)

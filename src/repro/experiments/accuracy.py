@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuits.memory import MemoryExperiment
-from ..decoders.base import Decoder
+from ..decoders.base import DecodeBatch, Decoder
 from ..sim.packing import unique_rows
 from ..sim.pauli_frame import PauliFrameSimulator
 
@@ -131,8 +131,8 @@ def compare_decoders(
     sample = PauliFrameSimulator(experiment.circuit, seed=seed).sample(shots)
     observed = sample.observables[:, 0]
     unique, inverse, _ = unique_rows(sample.detectors)
-    pred_a = np.array([r.prediction for r in decoder_a.decode_batch(unique)])
-    pred_b = np.array([r.prediction for r in decoder_b.decode_batch(unique)])
+    pred_a = DecodeBatch.from_results(decoder_a.decode_batch(unique)).predictions
+    pred_b = DecodeBatch.from_results(decoder_b.decode_batch(unique)).predictions
     err_a = pred_a[inverse] != observed
     err_b = pred_b[inverse] != observed
     return PairedComparison(

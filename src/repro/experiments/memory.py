@@ -20,12 +20,13 @@ both the cached and uncached paths share one vectorised tally
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..circuits.memory import MemoryExperiment
-from ..decoders.base import DecodeResult, Decoder
+from ..decoders.base import DecodeBatch, DecodeResult, Decoder
 from ..sim.packing import unique_rows
 from ..sim.pauli_frame import PauliFrameSimulator
 from .stats import wilson_interval
@@ -90,10 +91,10 @@ class MemoryRunResult:
 class DecodeTally:
     """Vectorised shot-weighted tally of a batch of decode results.
 
-    Produced by :func:`tally_decode_results` from one
-    :class:`~repro.decoders.base.DecodeResult` per distinct syndrome plus
-    that syndrome's shot multiplicity and observed-flip count; consumed by
-    both the serial and the parallel memory-experiment runners.
+    Produced by :func:`tally_decode_results` from the decode results of
+    the distinct syndromes plus each syndrome's shot multiplicity and
+    observed-flip count; consumed by both the serial and the parallel
+    memory-experiment runners.
     """
 
     errors: int
@@ -109,7 +110,7 @@ def tally_decode_results(
     syndromes: np.ndarray,
     counts: np.ndarray,
     flips: np.ndarray,
-    results: list[DecodeResult],
+    results: Sequence[DecodeResult],
 ) -> DecodeTally:
     """Aggregate per-syndrome decode results into shot-weighted totals.
 
@@ -118,7 +119,9 @@ def tally_decode_results(
         counts: ``(U,)`` shots that produced each syndrome.
         flips: ``(U,)`` of those shots, how many had the logical
             observable actually flipped.
-        results: One decode result per syndrome row.
+        results: One decode result per syndrome row; read as columns
+            (:meth:`DecodeBatch.from_results`), so a decoder's
+            :class:`~repro.decoders.base.DecodeBatch` costs no per-row work.
 
     Returns:
         The :class:`DecodeTally`; ``errors`` counts a "flip" prediction
@@ -127,20 +130,18 @@ def tally_decode_results(
     """
     counts = np.asarray(counts, dtype=np.int64)
     flips = np.asarray(flips, dtype=np.int64)
-    if not len(results):
+    batch = DecodeBatch.from_results(results)
+    if not len(batch):
         return DecodeTally(0, 0, 0, 0.0, 0.0, 0.0, 0)
-    predictions = np.array([r.prediction for r in results], dtype=bool)
-    decoded_mask = np.array([r.decoded for r in results], dtype=bool)
-    timeout_mask = np.array([r.timed_out for r in results], dtype=bool)
-    latencies = np.array([r.latency_ns for r in results], dtype=np.float64)
+    latencies = batch.latency_ns
     hamming = syndromes.sum(axis=1)
     nontrivial_mask = hamming > 2
     weighted = latencies * counts
     nontrivial = int(counts[nontrivial_mask].sum())
     return DecodeTally(
-        errors=int(np.where(predictions, counts - flips, flips).sum()),
-        declined=int(counts[~decoded_mask].sum()),
-        timed_out=int(counts[timeout_mask].sum()),
+        errors=int(np.where(batch.predictions, counts - flips, flips).sum()),
+        declined=int(counts[~batch.decoded].sum()),
+        timed_out=int(counts[batch.timed_out].sum()),
         latency_sum=float(weighted.sum()),
         latency_max=float(latencies.max()),
         nontrivial_latency_sum=float(weighted[nontrivial_mask].sum()),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuits.memory import MemoryExperiment
-from ..decoders.base import DecodeResult, Decoder
+from ..decoders.base import DecodeBatch, Decoder
 from ..pipeline.handle import DecoderHandle
 from ..sim.frame_program import compile_frame_program
 from ..sim.packing import unique_rows
@@ -164,8 +164,11 @@ def _sample_census_chunk(payload) -> SyndromeCensus:
     return merge_censuses(parts)
 
 
-def _decode_chunk(payload) -> list[DecodeResult]:
+def _decode_chunk(payload) -> DecodeBatch:
     """Worker entry point for phase 2 (module-level so it pickles).
+
+    Results travel back as columns (:class:`DecodeBatch`), whichever
+    decoder produced them.
 
     A :class:`~repro.pipeline.handle.DecoderHandle` payload is
     materialised here, in the worker -- warm-starting from the artifact
@@ -175,7 +178,7 @@ def _decode_chunk(payload) -> list[DecodeResult]:
     decoder, syndromes = payload
     if isinstance(decoder, DecoderHandle):
         decoder = decoder.resolve()
-    return decoder.decode_batch(syndromes)
+    return DecodeBatch.from_results(decoder.decode_batch(syndromes))
 
 
 def merge_results(parts: list[MemoryRunResult | None]) -> MemoryRunResult:
@@ -333,7 +336,7 @@ def run_memory_experiment_parallel(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             decoded = list(pool.map(_decode_chunk, decode_payloads))
-    results: list[DecodeResult] = [r for part in decoded for r in part]
+    results = DecodeBatch.concat(decoded)
 
     tally = tally_decode_results(unique, census.counts, census.flips, results)
     return MemoryRunResult(

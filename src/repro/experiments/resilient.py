@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from ..circuits.memory import MemoryExperiment
-from ..decoders.base import DecodeResult, Decoder
+from ..decoders.base import DecodeBatch, Decoder
 from ..pipeline.fingerprint import experiment_fingerprint
 from ..pipeline.handle import DecoderHandle
 from ..service.supervisor import (
@@ -322,7 +322,7 @@ class CheckpointStore:
         write_json_record(self.chunk_path(index), payload, kind=CHUNK_KIND)
 
 
-def _decode_chunk_tracked(payload) -> tuple[list[DecodeResult], int]:
+def _decode_chunk_tracked(payload) -> tuple[DecodeBatch, int]:
     """Worker entry for the decode phase: results plus fallback delta.
 
     Decoder-internal degradations accumulate on ``fallback_events`` of
@@ -608,11 +608,7 @@ def run_memory_experiment_resilient(
         stats=stats,
         allow_drop=False,
     )
-    results: list[DecodeResult] = [
-        r
-        for index in sorted(decoded)
-        for r in decoded[index][0]
-    ]
+    results = DecodeBatch.concat([decoded[index][0] for index in sorted(decoded)])
 
     effective_shots = census.shots
     tally = tally_decode_results(unique, census.counts, census.flips, results)

@@ -31,26 +31,33 @@ engine that is *bit-exact* with the dense solve while being much faster:
    larger clusters go to the attached graph engine when present, else to
    the blossom solver.
 
-3. **Memoization.**  Cluster matchings are cached in a canonical-key LRU
-   (key = the cluster's sorted detector indices, as raw bytes).  Because
-   low-p syndromes decompose into few distinct small clusters, sub-syndrome
-   hit rates far exceed whole-syndrome hit rates.  Clusters of one or two
-   defects are *not* cached -- their closed forms (a couple of array
-   lookups) are cheaper than the cache machinery itself.
+3. **Memoization.**  :meth:`SparseMatchingEngine.solve` caches cluster
+   matchings in a canonical-key LRU (key = the cluster's sorted detector
+   indices, as raw bytes).  Because low-p syndromes decompose into few
+   distinct small clusters, sub-syndrome hit rates far exceed
+   whole-syndrome hit rates.  Clusters of one or two defects are *not*
+   cached -- their closed forms (a couple of array lookups) are cheaper
+   than the cache machinery itself.
 
-4. **Batching.**  :meth:`SparseMatchingEngine.solve_batch` processes a
-   whole ``(shots, detectors)`` matrix Hamming-weight-bucketed: weight-1
-   and weight-2 syndromes are closed-form solved with pure array
-   arithmetic.  Larger buckets label their connected components for the
-   whole bucket at once (boolean matrix-power closure over the gathered
-   close submatrices) and then flatten every row's components into one
-   *segment stream* (a stable lexsort by component label): singleton and
-   pair segments evaluate their closed forms vectorized across the whole
-   bucket, >= 3-defect segments deduplicate into one grouped kernel
-   solve, and per-row weights/parities come back via ``reduceat`` over
-   the stream -- which accumulates segments in exactly the scalar path's
-   smallest-member component order, keeping float sums bit-identical.
-   Per-row Python survives only to assemble the output pair lists.
+4. **Batching.**  :meth:`SparseMatchingEngine.solve_batch` is columnar:
+   it answers a whole ``(shots, detectors)`` matrix with a
+   :class:`~repro.decoders.base.DecodeBatch` and builds no per-row or
+   per-cluster Python objects.  Rows are Hamming-weight-bucketed: weight-1
+   and weight-2 syndromes are closed forms scattered into the output
+   arrays.  Larger buckets label their connected components for the whole
+   bucket at once (boolean matrix-power closure over the gathered close
+   submatrices) and flatten every row's components into one *segment
+   stream* (a stable sort by row and component label): singleton and pair
+   segments evaluate their closed forms vectorized, and >= 3-defect
+   segments are grouped by size, deduplicated with ``np.unique`` and
+   solved once per distinct cluster.  Per-row weights come back through an
+   in-order ``bincount`` over the stream, which accumulates segments in
+   exactly the scalar path's smallest-member component order, keeping
+   float sums bit-identical; one ``lexsort`` puts every row's pairs in
+   ``sorted()`` order.  The batch neither reads nor fills the LRU: a
+   census decodes each unique syndrome once on a fresh decoder, so the
+   cache would only serve in-batch repeats, which the batch's own dedup
+   covers without building a cached object per cluster.
 
 Statistics (cluster counts, cache hits/misses, fallback breakdown) are
 tracked in :class:`SparseStats` and surfaced by the experiment reports.
@@ -59,7 +66,9 @@ tracked in :class:`SparseStats` and surfaced by the experiment reports.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,6 +78,9 @@ from ..graphs.weights import GlobalWeightTable
 from .blossom import min_weight_perfect_matching
 from .boundary import MatchingProblem, matching_to_detectors
 from .search import MAX_SEARCH_NODES, batched_search, vectorized_search
+
+if TYPE_CHECKING:
+    from ..decoders.base import DecodeBatch
 
 __all__ = [
     "SparseMatchingEngine",
@@ -81,6 +93,12 @@ __all__ = [
 #: handles (uint8 matrix powers hold path counts up to 255); wider rows
 #: fall back to the per-row graph traversal.
 _MAX_LABEL_WEIGHT = 128
+
+_NON_FINITE_TABLE = "weight table contains non-finite (NaN/inf) entries"
+_UNSAFE_PAIR = (
+    "syndrome contains an unsafe pair (weight-quantization artifact) and no "
+    "graph engine is attached to solve it exactly"
+)
 
 
 class SparseEngineError(RuntimeError):
@@ -129,8 +147,10 @@ class SparseStats:
             ``"engine_error"`` (unexpected internal failure, recorded by
             the decoder when it degrades).
         clusters: Clusters solved across all decomposed syndromes.
-        cache_hits: Cluster-cache hits.
-        cache_misses: Cluster-cache misses.
+        cache_hits: Cluster-cache hits (in a batch: repeats of a >= 3-defect
+            cluster already seen in the same batch).
+        cache_misses: Cluster-cache misses (in a batch: distinct >= 3-defect
+            clusters).
         blossom_clusters: Cache misses that exceeded the exhaustive-search
             node limit and ran the blossom solver.
         nodes_settled: Graph vertices settled during region growth
@@ -198,7 +218,8 @@ class SparseMatchingEngine:
             :func:`default_tolerance` (0 for quantized tables, 1e-9 for
             float tables).
         cache_size: Maximum number of memoized cluster solutions (LRU
-            eviction; 0 disables caching).
+            eviction; 0 disables caching).  Only :meth:`solve` uses the
+            cache.
         structure: A pre-built :class:`NeighborStructure` for ``gwt`` at
             ``tolerance`` (e.g. from the pipeline's artifact store).  The
             caller guarantees it matches; None computes it here.
@@ -250,6 +271,8 @@ class SparseMatchingEngine:
         # Checked once; a poisoned table makes every decomposition claim
         # meaningless, so solves must refuse.
         self._weights_finite = bool(np.isfinite(gwt.weights).all())
+        # Ideal tables have no unsafe pairs; batches then skip the scan.
+        self._has_unsafe = bool(self.structure.unsafe.any())
 
     def _check_solvable(self, dets: np.ndarray) -> None:
         """Refuse syndromes the engine cannot decode exactly.
@@ -260,9 +283,7 @@ class SparseMatchingEngine:
         """
         if not self._weights_finite:
             self.stats.fallback_events["unsolvable"] += 1
-            raise SparseEngineError(
-                "weight table contains non-finite (NaN/inf) entries"
-            )
+            raise SparseEngineError(_NON_FINITE_TABLE)
         if dets.size and (
             int(dets[-1]) >= self._num_detectors or int(dets[0]) < 0
         ):
@@ -313,281 +334,300 @@ class SparseMatchingEngine:
             return self._route_unsafe(dets)
         return self._solve_decomposed(dets, self.structure.close[cols, dets])
 
-    def solve_batch(
-        self, syndromes: np.ndarray
-    ) -> list[tuple[list[tuple[int, int]], float, bool]]:
+    def solve_batch(self, syndromes: np.ndarray) -> DecodeBatch:
         """Exact minimum-weight matchings of a (shots, detectors) matrix.
 
-        Row results are identical to per-row :meth:`solve`, but work is
-        Hamming-weight-bucketed: weight-1 and weight-2 syndromes reduce to
-        closed forms evaluated with pure array arithmetic, and each larger
-        bucket's component labelling and singleton/pair closed forms are
-        evaluated for whole groups of identically-decomposing rows at
-        once.  The cluster cache is consulted only for clusters of three
-        or more defects, exactly as in the scalar path.
+        Row results are identical to per-row :meth:`solve` (pairs in
+        ``sorted()`` order, bit-equal weights), returned as a columnar
+        :class:`~repro.decoders.base.DecodeBatch` with zero latency.  Rows
+        :meth:`solve` would refuse -- an unsafe pair with no graph engine
+        attached, or a poisoned weight table -- are counted like per-row
+        solves and marked ``decoded=False`` with a NaN weight instead of
+        raising; :meth:`refusal` is the error :meth:`solve` raises for them.
+
+        The cluster cache serves :meth:`solve` only: the batch dedups its
+        own >= 3-defect clusters, which is where its hits come from, and
+        counts them as the cache would for a fresh engine (one miss per
+        distinct cluster, a hit for every repeat).
         """
+        # The decoder layer imports this module, so import its type late.
+        from ..decoders.base import DecodeBatch
+
         syndromes = np.asarray(syndromes).astype(bool, copy=False)
         if syndromes.ndim != 2:
             raise ValueError("solve_batch expects a (shots, detectors) matrix")
-        if not self._weights_finite:
-            self.stats.fallback_events["unsolvable"] += 1
-            raise SparseEngineError(
-                "weight table contains non-finite (NaN/inf) entries"
-            )
         num = syndromes.shape[0]
-        out: list[tuple[list[tuple[int, int]], float, bool] | None] = [None] * num
         hw = syndromes.sum(axis=1)
         stats = self.stats
+        weights = np.zeros(num, dtype=np.float64)
+        predictions = np.zeros(num, dtype=bool)
+        decoded = np.ones(num, dtype=bool)
+        if not self._weights_finite:
+            refused = hw > 0
+            stats.fallback_events["unsolvable"] += int(refused.sum())
+            weights[refused] = np.nan
+            return DecodeBatch(
+                predictions=predictions,
+                weights=weights,
+                offsets=np.zeros(num + 1, dtype=np.intp),
+                first=(),
+                second=(),
+                decoded=~refused,
+            )
         structure = self.structure
         radii = self._radii
         diag_parities = self._diag_parities
+        table_weights = self.gwt.weights
+        table_parities = self.gwt.parities
+        # Matched pairs as (row, first, second) streams, put in per-row
+        # sorted order once at the end.
+        pair_rows: list[np.ndarray] = []
+        pair_first: list[np.ndarray] = []
+        pair_second: list[np.ndarray] = []
+
+        def emit(rows, first, second) -> None:
+            pair_rows.append(rows)
+            pair_first.append(first)
+            pair_second.append(np.broadcast_to(second, first.shape))
+
+        routed: list[tuple[int, tuple[list[tuple[int, int]], float, bool]]] = []
+
+        def route_unsafe(rows: np.ndarray, active: np.ndarray) -> None:
+            # Per-row :meth:`_route_unsafe`, without raising on refusal.
+            stats.fallback_events["unsafe_pair"] += rows.size
+            if self.graph_engine is None:
+                decoded[rows] = False
+                weights[rows] = np.nan
+                return
+            for i, dets in zip(rows.tolist(), active):
+                routed.append((i, self.graph_engine.solve(dets)))
+
+        # Component segments of the >= 3-defect buckets.  Each row's
+        # segments are contiguous and ordered by smallest member, the
+        # scalar path's visit order, so an in-order accumulation over the
+        # stream reproduces its float sums.
+        seg_rows: list[np.ndarray] = []
+        seg_weights: list[np.ndarray] = []
+        seg_preds: list[np.ndarray] = []
+        # Segments of >= 3 defects by cluster size: (segment ids, rows,
+        # member matrix), solved after the bucket loop.
+        big: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        num_segments = 0
         # One global nonzero: every bucket's active-index matrix is then a
         # strided gather from this flat column stream instead of a fresh
         # (B, detectors) fancy-index copy + scan per bucket.
         all_cols = np.nonzero(syndromes)[1]
         row_start = np.zeros(num + 1, dtype=np.intp)
         np.cumsum(hw, out=row_start[1:])
-        # Deferred >= 3-defect clusters, deduplicated by canonical key; the
-        # composition plan of each decomposed row references them by key.
-        deferred_index: dict[bytes, int] = {}
-        deferred: list[np.ndarray] = []
-        plans: list[tuple[int, list[_ClusterSolution | bytes]]] = []
-        # Per-bucket segment streams awaiting deferred-cluster resolution.
-        pending: list[tuple] = []
-        for w in np.unique(hw):
-            w = int(w)
-            rows = np.nonzero(hw == w)[0]
+        for w in np.unique(hw).tolist():
             if w == 0:
-                for i in rows.tolist():
-                    out[i] = ([], 0.0, False)
                 continue
+            rows = np.nonzero(hw == w)[0]
             active = all_cols[row_start[rows][:, None] + np.arange(w)]
-            stats.syndromes += len(rows)
+            stats.syndromes += rows.size
             if w == 1:
-                stats.clusters += len(rows)
+                stats.clusters += rows.size
                 dets = active[:, 0]
-                ws = radii[dets].tolist()
-                ps = diag_parities[dets].tolist()
-                dets_list = dets.tolist()
-                for j, i in enumerate(rows.tolist()):
-                    out[i] = ([(dets_list[j], BOUNDARY)], ws[j], ps[j])
+                weights[rows] = radii[dets]
+                predictions[rows] = diag_parities[dets]
+                emit(rows, dets, BOUNDARY)
                 continue
+            if self._has_unsafe:
+                if w == 2:
+                    unsafe = structure.unsafe[active[:, 0], active[:, 1]]
+                else:
+                    unsafe = structure.unsafe[
+                        active[:, :, None], active[:, None, :]
+                    ].any(axis=(1, 2))
+                if unsafe.any():
+                    route_unsafe(rows[unsafe], active[unsafe])
+                    rows, active = rows[~unsafe], active[~unsafe]
+                    if rows.size == 0:
+                        continue
             if w == 2:
                 a, b = active[:, 0], active[:, 1]
-                unsafe = structure.unsafe[a, b]
-                if unsafe.any():
-                    for j in np.nonzero(unsafe)[0]:
-                        out[rows[j]] = self._route_unsafe(active[j])
+                # A separable pair is two singletons: both to the boundary.
                 sep = structure.separable[a, b]
-                stats.clusters += 2 * int(sep.sum()) + int(
-                    (~sep & ~unsafe).sum()
+                stats.clusters += rows.size + int(sep.sum())
+                weights[rows] = np.where(sep, radii[a] + radii[b], table_weights[a, b])
+                predictions[rows] = np.where(
+                    sep, diag_parities[a] ^ diag_parities[b], table_parities[a, b]
                 )
-                direct_w = self.gwt.weights[a, b].tolist()
-                direct_p = self.gwt.parities[a, b].tolist()
-                both_w = (radii[a] + radii[b]).tolist()
-                both_p = (diag_parities[a] ^ diag_parities[b]).tolist()
-                sep_list = sep.tolist()
-                unsafe_list = unsafe.tolist()
-                a_list = a.tolist()
-                b_list = b.tolist()
-                for j, i in enumerate(rows.tolist()):
-                    if unsafe_list[j]:
-                        continue  # routed above
-                    ai, bi = a_list[j], b_list[j]
-                    if sep_list[j]:
-                        # Two separable singletons: both to the boundary.
-                        out[i] = (
-                            [(ai, BOUNDARY), (bi, BOUNDARY)],
-                            both_w[j],
-                            both_p[j],
-                        )
-                    else:
-                        out[i] = ([(ai, bi)], direct_w[j], direct_p[j])
+                emit(rows, a, np.where(sep, BOUNDARY, b))
+                emit(rows[sep], b[sep], BOUNDARY)
                 continue
-            gathered_close = structure.close[
-                active[:, :, None], active[:, None, :]
-            ]
-            unsafe_rows = structure.unsafe[
-                active[:, :, None], active[:, None, :]
-            ].any(axis=(1, 2))
-            if unsafe_rows.any():
-                for j in np.nonzero(unsafe_rows)[0]:
-                    out[rows[j]] = self._route_unsafe(active[j])
-                keep = np.nonzero(~unsafe_rows)[0]
-                rows = rows[keep]
-                active = active[keep]
-                gathered_close = gathered_close[keep]
-                if rows.size == 0:
-                    continue
+            gathered_close = structure.close[active[:, :, None], active[:, None, :]]
             if w > _MAX_LABEL_WEIGHT:
-                for j, i in enumerate(rows):
-                    entries = self._plan_row(
-                        active[j],
-                        _components_local(gathered_close[j]),
-                        deferred_index,
-                        deferred,
-                    )
-                    plans.append((int(i), entries))
-                continue
-            # Segment stream: flatten every row's components into one
-            # label-sorted sequence.  Within a row, labels ascend with the
-            # component's smallest member (labels *are* smallest member
-            # positions), and the stable sort keeps positions -- hence
-            # detector indices -- ascending within each component, so the
-            # stream order is exactly the scalar path's visit order.
-            labels = _component_labels(gathered_close)
-            B = rows.size
-            flat_rows = np.repeat(np.arange(B), w)
-            order = np.lexsort((labels.ravel(), flat_rows))
-            srt_rows = flat_rows[order]
-            srt_labels = labels.ravel()[order]
+                labels = np.stack([_labels_local(close) for close in gathered_close])
+            else:
+                labels = _component_labels(gathered_close)
+            # Segment stream: labels *are* smallest-member positions, so a
+            # stable sort on (row, label) keeps positions -- hence detector
+            # indices -- ascending within each component.
+            keys = (np.arange(rows.size)[:, None] * w + labels).ravel()
+            order = np.argsort(keys, kind="stable")
+            srt_keys = keys[order]
             srt_dets = active.ravel()[order]
-            newseg = np.empty(B * w, dtype=bool)
-            newseg[0] = True
-            newseg[1:] = (srt_rows[1:] != srt_rows[:-1]) | (
-                srt_labels[1:] != srt_labels[:-1]
-            )
-            seg_starts = np.nonzero(newseg)[0]
-            seg_sizes = np.diff(np.append(seg_starts, B * w))
-            seg_rows = srt_rows[seg_starts]
-            nseg = seg_starts.size
-            stats.clusters += nseg
-            seg_weights = np.zeros(nseg, dtype=np.float64)
-            seg_preds = np.zeros(nseg, dtype=bool)
-            # Closed-form segments store their single pair as a bare tuple;
-            # >= 3-defect segments store a *list* of pairs (the assembly
-            # loop dispatches on the type).
-            seg_pairs: list = [None] * nseg
-            ones = seg_sizes == 1
-            d1 = srt_dets[seg_starts[ones]]
-            seg_weights[ones] = radii[d1]
-            seg_preds[ones] = diag_parities[d1]
-            for s, d in zip(np.nonzero(ones)[0].tolist(), d1.tolist()):
-                seg_pairs[s] = (d, BOUNDARY)
-            twos = seg_sizes == 2
-            a2 = srt_dets[seg_starts[twos]]
-            b2 = srt_dets[seg_starts[twos] + 1]
-            seg_weights[twos] = self.gwt.weights[a2, b2]
-            seg_preds[twos] = self.gwt.parities[a2, b2]
-            for s, pair in zip(
-                np.nonzero(twos)[0].tolist(), zip(a2.tolist(), b2.tolist())
-            ):
-                seg_pairs[s] = pair
-            # >= 3-defect segments consult the cache, then the in-batch
-            # dedup index; unresolved ones are referenced by key and
-            # filled in after the grouped solve.
-            big_refs: list[tuple[int, bytes]] = []
-            bigs = seg_sizes > 2
-            big_rows = np.zeros(B, dtype=bool)
-            if bigs.any():
-                big_rows[seg_rows[bigs]] = True
-                starts_list = seg_starts.tolist()
-                sizes_list = seg_sizes.tolist()
-                for s in np.nonzero(bigs)[0].tolist():
-                    start = starts_list[s]
-                    cluster = srt_dets[start : start + sizes_list[s]]
-                    key = b"C" + cluster.tobytes()
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        stats.cache_hits += 1
-                        self._cache.move_to_end(key)
-                        seg_weights[s] = cached.weight
-                        seg_preds[s] = cached.prediction
-                        seg_pairs[s] = cached.pairs
-                        continue
-                    if key in deferred_index:
-                        stats.cache_hits += 1
-                    else:
-                        stats.cache_misses += 1
-                        deferred_index[key] = len(deferred)
-                        deferred.append(cluster)
-                    big_refs.append((s, key))
-            row_first = np.nonzero(
-                np.r_[True, seg_rows[1:] != seg_rows[:-1]]
-            )[0]
-            pending.append(
-                (
-                    rows,
-                    seg_weights,
-                    seg_preds,
-                    seg_pairs,
-                    row_first,
-                    big_refs,
-                    big_rows,
+            starts = np.flatnonzero(np.r_[True, srt_keys[1:] != srt_keys[:-1]])
+            sizes = np.diff(np.append(starts, srt_keys.size))
+            segment_rows = rows[srt_keys[starts] // w]
+            stats.clusters += starts.size
+            sw = np.zeros(starts.size, dtype=np.float64)
+            sp = np.zeros(starts.size, dtype=bool)
+            ones = sizes == 1
+            d1 = srt_dets[starts[ones]]
+            sw[ones] = radii[d1]
+            sp[ones] = diag_parities[d1]
+            emit(segment_rows[ones], d1, BOUNDARY)
+            twos = sizes == 2
+            a2 = srt_dets[starts[twos]]
+            b2 = srt_dets[starts[twos] + 1]
+            sw[twos] = table_weights[a2, b2]
+            sp[twos] = table_parities[a2, b2]
+            emit(segment_rows[twos], a2, b2)
+            for size in np.unique(sizes[sizes > 2]).tolist():
+                ids = np.flatnonzero(sizes == size)
+                members = srt_dets[starts[ids][:, None] + np.arange(size)]
+                big.setdefault(size, []).append(
+                    (ids + num_segments, segment_rows[ids], members)
                 )
-            )
-        resolved: dict[bytes, _ClusterSolution] = {}
-        if deferred:
-            solutions = self._solve_clusters_grouped(deferred)
-            for key, index in deferred_index.items():
-                solution = solutions[index]
-                resolved[key] = solution
-                if self.cache_size > 0:
-                    self._cache[key] = solution
-                    if len(self._cache) > self.cache_size:
-                        self._cache.popitem(last=False)
-        for (
-            rws,
-            seg_weights,
-            seg_preds,
-            seg_pairs,
-            row_first,
-            big_refs,
-            big_rows,
-        ) in pending:
-            for s, key in big_refs:
-                solution = resolved[key]
-                seg_weights[s] = solution.weight
-                seg_preds[s] = solution.prediction
-                seg_pairs[s] = solution.pairs
-            # Accumulate each row's segments with np.bincount, whose C
-            # kernel is a single sequential in-order loop: each row's
-            # contributions add left to right, so the float-summation
-            # order (and hence every rounding step) matches the scalar
-            # path bit for bit; reduceat's internal pairing does not.
-            nseg = len(seg_pairs)
-            counts = np.diff(np.append(row_first, nseg))
-            seg_rows = np.repeat(np.arange(len(rws)), counts)
-            row_w = np.bincount(
-                seg_rows, weights=seg_weights, minlength=len(rws)
-            )
-            row_p = (
-                np.bincount(seg_rows, weights=seg_preds, minlength=len(rws))
-                .astype(np.intp)
-                & 1
+            seg_rows.append(segment_rows)
+            seg_weights.append(sw)
+            seg_preds.append(sp)
+            num_segments += starts.size
+        if routed:
+            solved = DecodeBatch.from_solutions([solution for _, solution in routed])
+            rows = np.array([i for i, _ in routed], dtype=np.intp)
+            weights[rows] = solved.weights
+            predictions[rows] = solved.predictions
+            emit(np.repeat(rows, np.diff(solved.offsets)), solved.first, solved.second)
+        if num_segments:
+            sw = np.concatenate(seg_weights)
+            sp = np.concatenate(seg_preds)
+            segment_rows = np.concatenate(seg_rows)
+            for ids, rows, solved in self._solve_big_segments(big):
+                sw[ids] = solved.weights
+                sp[ids] = solved.predictions
+                emit(np.repeat(rows, np.diff(solved.offsets)), solved.first, solved.second)
+            # np.bincount's C kernel is one sequential in-order loop, so each
+            # row's segments add left to right from 0.0 exactly as the scalar
+            # path's loop does (reduceat's internal pairing would not).
+            weights += np.bincount(segment_rows, weights=sw, minlength=num)
+            predictions ^= (
+                np.bincount(segment_rows, weights=sp, minlength=num).astype(np.intp) & 1
             ).astype(bool)
-            wl = row_w.tolist()
-            pl = row_p.tolist()
-            bounds = row_first.tolist()
-            bounds.append(nseg)
-            big_list = big_rows.tolist()
-            for j, i in enumerate(rws.tolist()):
-                if big_list[j]:
-                    prs: list[tuple[int, int]] = []
-                    for s in range(bounds[j], bounds[j + 1]):
-                        entry = seg_pairs[s]
-                        if type(entry) is tuple:
-                            prs.append(entry)
-                        else:
-                            prs.extend(entry)
-                    prs.sort()
-                else:
-                    # Only closed-form segments: one pair per segment, and
-                    # pair firsts ascend with the segments' smallest
-                    # members, so the list is already sorted.
-                    prs = seg_pairs[bounds[j] : bounds[j + 1]]
-                out[i] = (prs, wl[j], pl[j])
-        for i, entries in plans:
-            pairs: list[tuple[int, int]] = []
-            weight = 0.0
-            prediction = False
-            for entry in entries:
-                solution = resolved[entry] if isinstance(entry, bytes) else entry
-                pairs.extend(solution.pairs)
-                weight += solution.weight
-                prediction ^= solution.prediction
-            out[i] = (sorted(pairs), weight, prediction)
-        return out
+        rows = np.concatenate(pair_rows) if pair_rows else np.zeros(0, dtype=np.intp)
+        first = np.concatenate(pair_first) if pair_first else rows
+        second = np.concatenate(pair_second) if pair_second else rows
+        # A detector sits in one pair, so firsts are distinct within a row
+        # and ordering by (row, first) is each row's sorted() order.
+        order = np.lexsort((first, rows))
+        offsets = np.zeros(num + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=num), out=offsets[1:])
+        return DecodeBatch(
+            predictions=predictions,
+            weights=weights,
+            offsets=offsets,
+            first=first[order],
+            second=second[order],
+            decoded=decoded,
+        )
+
+    def refusal(self) -> SparseEngineError:
+        """The error :meth:`solve` raises for a row :meth:`solve_batch` refused.
+
+        A batch refuses rows for one reason: a poisoned weight table
+        refuses every non-empty row; otherwise the refused rows hold an
+        unsafe pair and no graph engine is attached.
+        """
+        if not self._weights_finite:
+            return SparseEngineError(_NON_FINITE_TABLE)
+        return SparseEngineError(_UNSAFE_PAIR)
+
+    def _solve_big_segments(
+        self, big: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, DecodeBatch]]:
+        """Solve the >= 3-defect segments of a batch, once per distinct cluster.
+
+        Each size's member matrix is deduplicated with ``np.unique``; sizes
+        within the exhaustive-search limit share one :func:`batched_search`
+        call, larger clusters share one graph-engine Dijkstra sweep
+        (:meth:`SparseBlossomEngine.solve_many`) or, without a graph engine,
+        run :meth:`_compute_cluster`'s blossom path one by one.
+
+        Yields:
+            ``(segment ids, segment rows, solutions)`` per size, with the
+            solutions a :class:`~repro.decoders.base.DecodeBatch` holding
+            one row per segment.
+        """
+        from ..decoders.base import DecodeBatch
+
+        groups = []
+        oversized: list[np.ndarray] = []
+        for size, parts in sorted(big.items()):
+            ids = np.concatenate([part[0] for part in parts])
+            rows = np.concatenate([part[1] for part in parts])
+            members = np.concatenate([part[2] for part in parts])
+            unique, inverse = np.unique(members, axis=0, return_inverse=True)
+            self.stats.cache_misses += len(unique)
+            self.stats.cache_hits += len(members) - len(unique)
+            if size + (size % 2) > MAX_SEARCH_NODES:
+                # Solved below, with every other oversized cluster at once.
+                solved = slice(len(oversized), len(oversized) + len(unique))
+                oversized.extend(unique)
+            else:
+                solved = self._search_clusters(unique)
+            groups.append((ids, rows, inverse.reshape(-1), solved))
+        if oversized:
+            if self.graph_engine is not None:
+                solutions = self.graph_engine.solve_many(oversized)
+            else:
+                solutions = [
+                    (s.pairs, s.weight, s.prediction)
+                    for s in map(self._compute_cluster, oversized)
+                ]
+            oversized_solved = DecodeBatch.from_solutions(solutions)
+        for ids, rows, inverse, solved in groups:
+            if isinstance(solved, slice):
+                solved = oversized_solved[solved]
+            yield ids, rows, solved[inverse]
+
+    def _search_clusters(self, clusters: np.ndarray) -> DecodeBatch:
+        """Exhaustive-search solutions of same-size clusters, one row each.
+
+        The matching problems are built with one GWT gather and the local
+        -> detector translation is vectorized; pairs come out in
+        :func:`matching_to_detectors` order, so results are element-wise
+        identical to :meth:`_compute_cluster`.
+        """
+        from ..decoders.base import DecodeBatch
+
+        batch = MatchingProblem.from_syndrome_batch(self.gwt, clusters)
+        pair_tensor, weights, predictions = (
+            from_device(r) for r in batched_search(batch.weights, batch.parities)
+        )
+        lookup = batch.active
+        if batch.has_virtual:
+            pad = np.full((len(clusters), 1), BOUNDARY, dtype=lookup.dtype)
+            lookup = np.concatenate([lookup, pad], axis=1)
+        rows = np.arange(len(clusters))[:, None]
+        da = lookup[rows, pair_tensor[:, :, 0]]
+        db = lookup[rows, pair_tensor[:, :, 1]]
+        lo = np.minimum(da, db)
+        hi = np.maximum(da, db)
+        virtual = lo == BOUNDARY
+        first = np.where(virtual, hi, lo)
+        second = np.where(virtual, lo, hi)
+        # Each detector appears in at most one pair, so sorting on the
+        # first element alone reproduces matching_to_detectors' order.
+        order = np.argsort(first, axis=1)
+        return DecodeBatch(
+            predictions=predictions,
+            weights=weights,
+            offsets=np.arange(len(clusters) + 1) * first.shape[1],
+            first=np.take_along_axis(first, order, axis=1).ravel(),
+            second=np.take_along_axis(second, order, axis=1).ravel(),
+        )
 
     def clear_cache(self) -> None:
         """Drop all memoized cluster solutions (stats are kept)."""
@@ -612,10 +652,7 @@ class SparseMatchingEngine:
         self.stats.fallback_events["unsafe_pair"] += 1
         if self.graph_engine is not None:
             return self.graph_engine.solve(dets)
-        raise SparseEngineError(
-            "syndrome contains an unsafe pair (weight-quantization "
-            "artifact) and no graph engine is attached to solve it exactly"
-        )
+        raise SparseEngineError(_UNSAFE_PAIR)
 
     # ------------------------------------------------------------------
     # Decomposition
@@ -656,58 +693,9 @@ class SparseMatchingEngine:
         self.stats.clusters += clusters
         return sorted(pairs), weight, prediction
 
-    def _plan_row(
-        self,
-        dets: np.ndarray,
-        components: list,
-        deferred_index: dict[bytes, int],
-        deferred: list[np.ndarray],
-    ) -> list[_ClusterSolution | bytes]:
-        """Batch-path composition plan of one decomposed row.
-
-        Singleton and pair components resolve to closed-form solutions
-        immediately; >= 3-defect clusters resolve through the cache or are
-        queued (deduplicated) for the grouped solve, represented by their
-        canonical key.
-        """
-        entries: list[_ClusterSolution | bytes] = []
-        for members in components:
-            self.stats.clusters += 1
-            if len(members) == 1:
-                entries.append(self._singleton(int(dets[members[0]])))
-            elif len(members) == 2:
-                entries.append(
-                    self._close_pair(
-                        int(dets[members[0]]), int(dets[members[1]])
-                    )
-                )
-            else:
-                cluster = dets[np.asarray(members)]
-                key = b"C" + cluster.tobytes()
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    self._cache.move_to_end(key)
-                    entries.append(cached)
-                elif key in deferred_index:
-                    # Another row in this batch already queued the
-                    # identical cluster: share its solve.
-                    self.stats.cache_hits += 1
-                    entries.append(key)
-                else:
-                    self.stats.cache_misses += 1
-                    deferred_index[key] = len(deferred)
-                    deferred.append(cluster)
-                    entries.append(key)
-        return entries
-
     # ------------------------------------------------------------------
     # Cluster solving
     # ------------------------------------------------------------------
-
-    def _solve_cluster(self, dets: np.ndarray) -> _ClusterSolution:
-        """Solve (or recall) the matching of one cluster of detectors."""
-        return self._memoized(b"C" + dets.tobytes(), dets, self._compute_cluster)
 
     def _memoized(self, key, dets, compute) -> _ClusterSolution:
         """LRU-cached solve keyed by the cluster's canonical bytes."""
@@ -739,80 +727,6 @@ class SparseMatchingEngine:
             weight=float(self.gwt.weights[a, b]),
             prediction=bool(self.gwt.parities[a, b]),
         )
-
-    def _solve_clusters_grouped(
-        self, clusters: list[np.ndarray]
-    ) -> list[_ClusterSolution]:
-        """Solve many >= 3-defect clusters, grouped by size for the kernels.
-
-        Same-size clusters share one :func:`batched_search` call (their
-        matching problems are built with one GWT gather and their local ->
-        detector translation is vectorized, mirroring the Astrea batch
-        pipeline); clusters too large for the index tensors share one
-        graph-engine Dijkstra sweep (:meth:`SparseBlossomEngine.solve_many`)
-        or, without a graph engine, run :meth:`_compute_cluster`'s blossom
-        path individually.  Results are element-wise identical to
-        :meth:`_compute_cluster`.
-        """
-        solutions: list[_ClusterSolution | None] = [None] * len(clusters)
-        by_size: dict[int, list[int]] = {}
-        for index, cluster in enumerate(clusters):
-            by_size.setdefault(cluster.size, []).append(index)
-        oversized: list[int] = []
-        for size, indices in by_size.items():
-            if size + (size % 2) > MAX_SEARCH_NODES:
-                if self.graph_engine is not None:
-                    # Collected so the graph engine can amortize one
-                    # Dijkstra sweep across all routed clusters.
-                    oversized.extend(indices)
-                else:
-                    for index in indices:
-                        solutions[index] = self._compute_cluster(
-                            clusters[index]
-                        )
-                continue
-            active = np.stack([clusters[index] for index in indices])
-            batch = MatchingProblem.from_syndrome_batch(self.gwt, active)
-            pair_tensor, weights, predictions = (
-                from_device(r)
-                for r in batched_search(batch.weights, batch.parities)
-            )
-            lookup = batch.active
-            if batch.has_virtual:
-                pad = np.full((len(indices), 1), BOUNDARY, dtype=lookup.dtype)
-                lookup = np.concatenate([lookup, pad], axis=1)
-            rows = np.arange(len(indices))[:, None]
-            da = lookup[rows, pair_tensor[:, :, 0]]
-            db = lookup[rows, pair_tensor[:, :, 1]]
-            lo = np.minimum(da, db)
-            hi = np.maximum(da, db)
-            virtual = lo == BOUNDARY
-            first = np.where(virtual, hi, lo)
-            second = np.where(virtual, lo, hi)
-            # Each detector appears in at most one pair, so sorting on the
-            # first element alone reproduces matching_to_detectors' order.
-            order = np.argsort(first, axis=1)
-            first = np.take_along_axis(first, order, axis=1)
-            second = np.take_along_axis(second, order, axis=1)
-            first_list = first.tolist()
-            second_list = second.tolist()
-            weight_list = weights.tolist()
-            pred_list = predictions.tolist()
-            for j, index in enumerate(indices):
-                solutions[index] = _ClusterSolution(
-                    pairs=list(zip(first_list[j], second_list[j])),
-                    weight=float(weight_list[j]),
-                    prediction=bool(pred_list[j]),
-                )
-        if oversized:
-            solved = self.graph_engine.solve_many(
-                [clusters[index] for index in oversized]
-            )
-            for index, (pairs, weight, prediction) in zip(oversized, solved):
-                solutions[index] = _ClusterSolution(
-                    pairs=pairs, weight=weight, prediction=prediction
-                )
-        return solutions
 
     def _compute_cluster(self, dets: np.ndarray) -> _ClusterSolution:
         """Exact matching of a >= 3-defect cluster.
@@ -866,6 +780,15 @@ def _component_labels(close: np.ndarray) -> np.ndarray:
         hops *= 2
     # First nonzero per row = smallest reachable index = component label.
     return np.argmax(reach, axis=2)
+
+
+def _labels_local(close_sub: np.ndarray) -> np.ndarray:
+    """Per-position component labels of one row, as :func:`_component_labels`
+    computes them, by graph traversal (for rows too wide for uint8 powers)."""
+    labels = np.empty(close_sub.shape[0], dtype=np.intp)
+    for members in _components_local(close_sub):
+        labels[members] = members[0]
+    return labels
 
 
 def _components_local(close_sub: np.ndarray) -> list[list[int]]:

@@ -5,6 +5,8 @@ syndromes, boundary-routed pairs, minimal codes, and configuration
 extremes that the happy-path tests do not reach.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro import (
     build_memory_circuit,
     matching_to_correction,
 )
+from repro.decoders.base import DecoderFallbackWarning
 from repro.decoders.verify import verify_decode_result
 from repro.matching.boundary import MatchingProblem
 from repro.matching.brute_force import count_perfect_matchings_in_graph
@@ -37,10 +40,17 @@ class TestSaturatedQuantization:
     def test_decoding_still_valid_under_saturation(self, setup_d5, sample_d5):
         gwt = GlobalWeightTable.from_graph(setup_d5.graph, lsb=0.05)
         decoder = MWPMDecoder(gwt, measure_time=False)
-        for det in sample_d5.detectors[:100]:
-            active = [int(i) for i in np.nonzero(det)[0]]
-            result = decoder.decode_active(active)
-            assert verify_decode_result(result, active, gwt=gwt).valid
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DecoderFallbackWarning)
+            for det in sample_d5.detectors[:100]:
+                active = [int(i) for i in np.nonzero(det)[0]]
+                result = decoder.decode_active(active)
+                assert verify_decode_result(result, active, gwt=gwt).valid
+        # Saturation creates unsafe pairs; each degraded row warns once.
+        assert decoder.fallback_events > 0
+        assert [w.category for w in caught] == (
+            [DecoderFallbackWarning] * decoder.fallback_events
+        )
 
 
 class TestDegenerateSyndromes:

@@ -15,6 +15,8 @@ Equivalence policy (mirrors ``test_astrea.py``):
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,13 +72,24 @@ class TestSparseEqualsDense:
         dense = MWPMDecoder(gwt, measure_time=False, use_sparse=False)
         n = gwt.weights.shape[0]
         rng = np.random.default_rng(200 * distance + int(p * 1e4))
-        for _ in range(120):
-            active = _random_active(rng, n, 12)
-            s = sparse.decode_active(list(active))
-            d = dense.decode_active(list(active))
-            # Quantized weights are multiples of the lsb summed in float;
-            # equality is exact (no representation error at this scale).
-            assert s.weight == d.weight, active
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DecoderFallbackWarning)
+            for _ in range(120):
+                active = _random_active(rng, n, 12)
+                s = sparse.decode_active(list(active))
+                d = dense.decode_active(list(active))
+                # Quantized weights are multiples of the lsb summed in
+                # float; equality is exact (no representation error at
+                # this scale).
+                assert s.weight == d.weight, active
+        # Every unsafe-pair row degrades with exactly one warning.
+        assert [w.category for w in caught] == (
+            [DecoderFallbackWarning] * sparse.fallback_events
+        )
+        assert (
+            sparse.fallback_events
+            == sparse.sparse_stats.fallback_events["unsafe_pair"]
+        )
 
     def test_fallback_path_identical_to_dense(self, distance, p):
         """Unsafe-pair syndromes raise; the decoder reruns dense verbatim."""
