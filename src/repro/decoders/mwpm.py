@@ -70,8 +70,8 @@ class MWPMDecoder(Decoder):
             required; no dense reference path exists then).
         graph: Optional :class:`~repro.graphs.decoding_graph.DecodingGraph`
             arming the graph-local sparse-blossom engine.  With a table it
-            takes the table engine's escape routes (unsafe pairs,
-            oversized clusters) -- exact only when ``gwt`` is the graph's
+            takes the table engine's one escape route (syndromes with an
+            unsafe pair) -- exact only when ``gwt`` is the graph's
             *ideal* (unquantized) all-pairs table; without a table it is
             the sole engine.
         measure_time: Record wall-clock decode time in ``latency_ns``

@@ -242,7 +242,7 @@ def _make_mwpm(
     structure = _structure_for(setup, table) if use_sparse else None
     # The graph-local engine is exact only against the ideal (unquantized)
     # all-pairs table, whose entries it re-derives during growth; it takes
-    # the table engine's escape routes (unsafe pairs, oversized clusters).
+    # the table engine's one escape route (syndromes with an unsafe pair).
     graph = (
         setup.graph
         if use_sparse and table is getattr(setup, "ideal_gwt", None)

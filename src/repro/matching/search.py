@@ -9,7 +9,10 @@ fancy-indexed gather plus an ``argmin``:
 * :func:`matchings_tensor` enumerates all perfect matchings of ``m`` nodes
   in the exact order Astrea's scalar hardware-model search explores them;
 * :func:`vectorized_search` solves one weight matrix;
-* :func:`batched_search` solves a whole ``(B, m, m)`` bucket at once.
+* :func:`batched_search` solves a whole ``(B, m, m)`` bucket at once;
+* :func:`batched_dp` solves buckets too large to enumerate (12 to
+  :data:`MAX_DP_NODES` nodes) by a subset dynamic program, vectorized
+  across the bucket the same way.
 
 The kernels originated in :mod:`repro.decoders.astrea` (which re-exports
 them for backward compatibility) and were hoisted into the matching layer
@@ -34,6 +37,7 @@ across backends.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,12 +50,24 @@ __all__ = [
     "matchings_tensor",
     "vectorized_search",
     "batched_search",
+    "MAX_DP_NODES",
+    "batched_dp",
     "hw6_accesses_for",
 ]
 
 #: Largest node count the exhaustive index-tensor kernels support (945
 #: candidate matchings); larger problems belong to the blossom solver.
 MAX_SEARCH_NODES = 10
+
+#: Largest node count :func:`batched_dp` supports; above it the blossom
+#: solver is faster per cluster (crossover measured on d = 11 clusters,
+#: see DESIGN.md "Kernel dispatch per cluster") and the plan, which grows
+#: ~1.6x per added node, would be kept for the life of the process.
+MAX_DP_NODES = 20
+
+#: Candidate entries (clusters x plan entries) one DP chunk evaluates at
+#: once: bounds the float temporaries to a few MB whatever the batch size.
+_DP_CHUNK_ENTRIES = 1 << 19
 
 
 @lru_cache(maxsize=None)
@@ -369,3 +385,116 @@ def batched_search(
     sel = _gather_rows(xp, flat_par, flat_pair_idx)
     predictions = xp.astype(xp.sum(sel, axis=1) % 2, xp.bool)
     return pair_tensor, totals, predictions
+
+
+# ----------------------------------------------------------------------
+# Subset-DP kernel for clusters too large to enumerate
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _DPLayer:
+    """One popcount layer of a :func:`_dp_plan`.
+
+    Attributes:
+        low: ``(n,)`` lowest free node of each mask in the layer.
+        partner: ``(n, p - 1)`` the mask's other nodes, ascending: the
+            candidates the lowest node may match.
+        flat: ``(n, p - 1)`` row-major weight-matrix offsets
+            ``low * m + partner``.
+        child: ``(n, p - 1)`` index, in the layer below, of the mask left
+            after matching ``low`` with each candidate.
+    """
+
+    low: np.ndarray
+    partner: np.ndarray
+    flat: np.ndarray
+    child: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _dp_plan(m: int) -> tuple[_DPLayer, ...]:
+    """Layers of the masks reachable from the full ``m``-node set.
+
+    Always matching the lowest free node keeps only F(m + 1) (Fibonacci)
+    of the ``2**m`` subsets reachable -- 233 at m = 12, 10,946 at m = 20
+    -- so the plan is small.  Layers run bottom-up (popcount 2, 4, ...,
+    m); the top layer holds the full set alone.  Built on first use per
+    ``m``, stored as compact int32.
+    """
+    masks = np.array([(1 << m) - 1], dtype=np.int64)
+    layers = []
+    for p in range(m, 0, -2):
+        bits = (masks[:, None] >> np.arange(m)) & 1
+        # Row-major nonzero lists each mask's p nodes in ascending order.
+        nodes = np.nonzero(bits)[1].reshape(len(masks), p)
+        low, partner = nodes[:, 0], nodes[:, 1:]
+        rest = (masks ^ (1 << low))[:, None] ^ (1 << partner)
+        masks, child = np.unique(rest, return_inverse=True)
+        layers.append(
+            _DPLayer(
+                low=low.astype(np.int32),
+                partner=partner.astype(np.int32),
+                flat=(low[:, None] * m + partner).astype(np.int32),
+                child=child.reshape(rest.shape).astype(np.int32),
+            )
+        )
+    layers.reverse()
+    for layer in layers:
+        for array in (layer.low, layer.partner, layer.flat, layer.child):
+            array.setflags(write=False)
+    return tuple(layers)
+
+
+def batched_dp(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact MWPM of a ``(B, m, m)`` bucket by subset dynamic programming.
+
+    ``best(S) = min_j W[low(S), j] + best(S - {low(S), j})`` over the
+    masks :func:`_dp_plan` keeps, one popcount layer at a time for every
+    problem of the bucket at once, then a vectorized backtrack.  Ties go
+    to the lowest partner index (first-occurrence ``argmin`` over
+    ascending candidates), and each total is summed in the same order as
+    :func:`repro.matching.brute_force.min_weight_perfect_matching_dp`, so
+    both return the same matching and bit-equal weight.  Work is chunked
+    over the bucket so temporaries stay a few MB.
+
+    Args:
+        weights: ``(B, m, m)`` pair-weight tensor, even
+            ``m <= MAX_DP_NODES``; only the upper triangle is read.
+
+    Returns:
+        Tuple ``(pair_tensor, total_weights)``: ``(B, m / 2, 2)`` local
+        pairs (lower node first, pairs by ascending lower node) and the
+        ``(B,)`` minimum weights.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    num, m, _ = weights.shape
+    if m % 2 or m > MAX_DP_NODES:
+        raise ValueError(
+            f"subset DP supports even node counts <= {MAX_DP_NODES}, got {m}"
+        )
+    pairs = np.zeros((num, m // 2, 2), dtype=np.intp)
+    totals = np.zeros(num, dtype=np.float64)
+    if m == 0 or num == 0:
+        return pairs, totals
+    plan = _dp_plan(m)
+    flat_w = weights.reshape(num, m * m)
+    step = max(1, _DP_CHUNK_ENTRIES // max(layer.flat.size for layer in plan))
+    for start in range(0, num, step):
+        w = flat_w[start : start + step]
+        rows = np.arange(len(w))
+        best = np.zeros((len(w), 1), dtype=np.float64)
+        picks = []
+        for layer in plan:
+            candidates = w[:, layer.flat] + best[:, layer.child]
+            pick = candidates.argmin(axis=2)
+            best = np.take_along_axis(candidates, pick[:, :, None], axis=2)[:, :, 0]
+            picks.append(pick.astype(np.uint8))
+        totals[start : start + len(w)] = best[:, 0]
+        state = np.zeros(len(w), dtype=np.intp)
+        for k, (layer, pick) in enumerate(zip(reversed(plan), reversed(picks))):
+            choice = pick[rows, state]
+            pairs[start : start + len(w), k, 0] = layer.low[state]
+            pairs[start : start + len(w), k, 1] = layer.partner[state, choice]
+            state = layer.child[state, choice]
+    return pairs, totals

@@ -26,10 +26,11 @@ engine that is *bit-exact* with the dense solve while being much faster:
 
 2. **Closed forms.**  A singleton cluster matches its detector to the
    boundary (weight ``W[d, d]``); a close pair matches directly (weight
-   ``W[a, b]``); clusters of up to 10 matching nodes run through the
-   vectorized exhaustive-search tensors of :mod:`repro.matching.search`;
-   larger clusters go to the attached graph engine when present, else to
-   the blossom solver.
+   ``W[a, b]``); larger clusters are solved from the table submatrix
+   by the kernels of :mod:`repro.matching.search`: up to 10 matching
+   nodes by the vectorized exhaustive-search tensors, up to 20 by the
+   batched subset DP, and only beyond that by the blossom solver.  The
+   graph engine, when attached, serves unsafe-pair syndromes alone.
 
 3. **Memoization.**  :meth:`SparseMatchingEngine.solve` caches cluster
    matchings in a canonical-key LRU (key = the cluster's sorted detector
@@ -49,8 +50,10 @@ engine that is *bit-exact* with the dense solve while being much faster:
    submatrices) and flatten every row's components into one *segment
    stream* (a stable sort by row and component label): singleton and pair
    segments evaluate their closed forms vectorized, and >= 3-defect
-   segments are grouped by size, deduplicated with ``np.unique`` and
-   solved once per distinct cluster.  Per-row weights come back through an
+   segments are grouped by size, deduplicated with one ``lexsort``
+   (:func:`repro.sim.packing.unique_row_index`) and solved once per
+   distinct cluster, every same-size cluster of the batch through one
+   kernel call.  Per-row weights come back through an
    in-order ``bincount`` over the stream, which accumulates segments in
    exactly the scalar path's smallest-member component order, keeping
    float sums bit-identical; one ``lexsort`` puts every row's pairs in
@@ -75,9 +78,16 @@ import numpy as np
 from ..backend import from_device
 from ..graphs.decoding_graph import BOUNDARY, NeighborStructure
 from ..graphs.weights import GlobalWeightTable
+from ..sim.packing import unique_row_index
 from .blossom import min_weight_perfect_matching
 from .boundary import MatchingProblem, matching_to_detectors
-from .search import MAX_SEARCH_NODES, batched_search, vectorized_search
+from .search import (
+    MAX_DP_NODES,
+    MAX_SEARCH_NODES,
+    batched_dp,
+    batched_search,
+    vectorized_search,
+)
 
 if TYPE_CHECKING:
     from ..decoders.base import DecodeBatch
@@ -151,8 +161,10 @@ class SparseStats:
             cluster already seen in the same batch).
         cache_misses: Cluster-cache misses (in a batch: distinct >= 3-defect
             clusters).
-        blossom_clusters: Cache misses that exceeded the exhaustive-search
-            node limit and ran the blossom solver.
+        dp_clusters: Cache misses too large for exhaustive search that
+            ran the subset-DP kernel (:func:`~repro.matching.search.batched_dp`).
+        blossom_clusters: Cache misses too large for the subset DP that
+            ran the blossom solver.
         nodes_settled: Graph vertices settled during region growth
             (graph engine only).
         collisions: Region collisions that merged clusters during growth
@@ -164,6 +176,7 @@ class SparseStats:
     clusters: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    dp_clusters: int = 0
     blossom_clusters: int = 0
     nodes_settled: int = 0
     collisions: int = 0
@@ -192,6 +205,7 @@ class SparseStats:
             "clusters": self.clusters,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "dp_clusters": self.dp_clusters,
             "blossom_clusters": self.blossom_clusters,
             "nodes_settled": self.nodes_settled,
             "collisions": self.collisions,
@@ -226,8 +240,8 @@ class SparseMatchingEngine:
         graph_engine: An optional
             :class:`~repro.matching.sparse_blossom.SparseBlossomEngine`
             over the decoding graph this table derives from.  Unsafe-pair
-            syndromes and clusters too large for the search kernels route
-            to it.  Exactness requires ``gwt`` to be the graph's *ideal*
+            syndromes route to it; every other cluster is solved from the
+            table.  Exactness requires ``gwt`` to be the graph's *ideal*
             (unquantized) all-pairs table -- the graph engine re-derives
             true weights, which only coincide with unquantized table
             entries.
@@ -549,68 +563,64 @@ class SparseMatchingEngine:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, DecodeBatch]]:
         """Solve the >= 3-defect segments of a batch, once per distinct cluster.
 
-        Each size's member matrix is deduplicated with ``np.unique``; sizes
-        within the exhaustive-search limit share one :func:`batched_search`
-        call, larger clusters share one graph-engine Dijkstra sweep
-        (:meth:`SparseBlossomEngine.solve_many`) or, without a graph engine,
-        run :meth:`_compute_cluster`'s blossom path one by one.
+        Each size's member matrix is deduplicated and its distinct
+        clusters go through one :meth:`_solve_clusters` call.
 
         Yields:
             ``(segment ids, segment rows, solutions)`` per size, with the
             solutions a :class:`~repro.decoders.base.DecodeBatch` holding
             one row per segment.
         """
-        from ..decoders.base import DecodeBatch
-
-        groups = []
-        oversized: list[np.ndarray] = []
-        for size, parts in sorted(big.items()):
+        for _, parts in sorted(big.items()):
             ids = np.concatenate([part[0] for part in parts])
             rows = np.concatenate([part[1] for part in parts])
             members = np.concatenate([part[2] for part in parts])
-            unique, inverse = np.unique(members, axis=0, return_inverse=True)
-            self.stats.cache_misses += len(unique)
-            self.stats.cache_hits += len(members) - len(unique)
-            if size + (size % 2) > MAX_SEARCH_NODES:
-                # Solved below, with every other oversized cluster at once.
-                solved = slice(len(oversized), len(oversized) + len(unique))
-                oversized.extend(unique)
-            else:
-                solved = self._search_clusters(unique)
-            groups.append((ids, rows, inverse.reshape(-1), solved))
-        if oversized:
-            if self.graph_engine is not None:
-                solutions = self.graph_engine.solve_many(oversized)
-            else:
-                solutions = [
-                    (s.pairs, s.weight, s.prediction)
-                    for s in map(self._compute_cluster, oversized)
-                ]
-            oversized_solved = DecodeBatch.from_solutions(solutions)
-        for ids, rows, inverse, solved in groups:
-            if isinstance(solved, slice):
-                solved = oversized_solved[solved]
-            yield ids, rows, solved[inverse]
+            first, inverse, _ = unique_row_index(members)
+            self.stats.cache_misses += len(first)
+            self.stats.cache_hits += len(members) - len(first)
+            yield ids, rows, self._solve_clusters(members[first])[inverse]
 
-    def _search_clusters(self, clusters: np.ndarray) -> DecodeBatch:
-        """Exhaustive-search solutions of same-size clusters, one row each.
+    def _solve_clusters(self, clusters: np.ndarray) -> DecodeBatch:
+        """Exact solutions of same-size >= 3-defect clusters, one row each.
 
-        The matching problems are built with one GWT gather and the local
-        -> detector translation is vectorized; pairs come out in
-        :func:`matching_to_detectors` order, so results are element-wise
-        identical to :meth:`_compute_cluster`.
+        The matching problems are built with one GWT gather; the node
+        count picks one kernel for all of them: exhaustive search up to
+        :data:`MAX_SEARCH_NODES`, the subset DP up to
+        :data:`MAX_DP_NODES`, blossom above.  Predictions XOR the table
+        parities of the chosen pairs, and the local -> detector
+        translation is vectorized; pairs come out in
+        :func:`matching_to_detectors` order.
         """
         from ..decoders.base import DecodeBatch
 
         batch = MatchingProblem.from_syndrome_batch(self.gwt, clusters)
-        pair_tensor, weights, predictions = (
-            from_device(r) for r in batched_search(batch.weights, batch.parities)
-        )
+        num, m = len(clusters), batch.num_nodes
+        rows = np.arange(num)[:, None]
+        if m <= MAX_SEARCH_NODES:
+            pair_tensor, weights, predictions = (
+                from_device(r) for r in batched_search(batch.weights, batch.parities)
+            )
+        else:
+            if m <= MAX_DP_NODES:
+                self.stats.dp_clusters += num
+                pair_tensor, weights = batched_dp(batch.weights)
+            else:
+                self.stats.blossom_clusters += num
+                pair_tensor = np.array(
+                    [min_weight_perfect_matching(w) for w in batch.weights],
+                    dtype=np.intp,
+                ).reshape(num, m // 2, 2)
+                weights = batch.weights[
+                    rows, pair_tensor[:, :, 0], pair_tensor[:, :, 1]
+                ].sum(axis=1)
+            predictions = np.bitwise_xor.reduce(
+                batch.parities[rows, pair_tensor[:, :, 0], pair_tensor[:, :, 1]],
+                axis=1,
+            )
         lookup = batch.active
         if batch.has_virtual:
-            pad = np.full((len(clusters), 1), BOUNDARY, dtype=lookup.dtype)
+            pad = np.full((num, 1), BOUNDARY, dtype=lookup.dtype)
             lookup = np.concatenate([lookup, pad], axis=1)
-        rows = np.arange(len(clusters))[:, None]
         da = lookup[rows, pair_tensor[:, :, 0]]
         db = lookup[rows, pair_tensor[:, :, 1]]
         lo = np.minimum(da, db)
@@ -624,7 +634,7 @@ class SparseMatchingEngine:
         return DecodeBatch(
             predictions=predictions,
             weights=weights,
-            offsets=np.arange(len(clusters) + 1) * first.shape[1],
+            offsets=np.arange(num + 1) * first.shape[1],
             first=np.take_along_axis(first, order, axis=1).ravel(),
             second=np.take_along_axis(second, order, axis=1).ravel(),
         )
@@ -729,28 +739,22 @@ class SparseMatchingEngine:
         )
 
     def _compute_cluster(self, dets: np.ndarray) -> _ClusterSolution:
-        """Exact matching of a >= 3-defect cluster.
+        """Exact matching of a >= 3-defect cluster from the table.
 
-        Clusters within the exhaustive-search node limit run the
-        vectorized search kernels (the fast path, scalar tie-breaking
-        order); larger clusters route to the attached graph engine when
-        present -- the "cannot close-form" escape to graph-local growth --
-        and otherwise run the blossom solver on the table submatrix.
+        Clusters within the exhaustive-search node limit run the scalar
+        search kernel (the fast path, scalar tie-breaking order); larger
+        ones take :meth:`_solve_clusters`, the batch path's own solve, so
+        per-row and batch decodes agree bit for bit.
         """
-        if dets.size + (dets.size % 2) > MAX_SEARCH_NODES and (
-            self.graph_engine is not None
-        ):
-            pairs, weight, prediction = self.graph_engine.solve(dets)
+        if dets.size + (dets.size % 2) > MAX_SEARCH_NODES:
+            solved = self._solve_clusters(dets[None])[0]
             return _ClusterSolution(
-                pairs=pairs, weight=weight, prediction=prediction
+                pairs=solved.matching,
+                weight=solved.weight,
+                prediction=solved.prediction,
             )
         problem = MatchingProblem.from_syndrome(self.gwt, [int(d) for d in dets])
-        if problem.num_nodes <= MAX_SEARCH_NODES:
-            local_pairs, weight, _ = vectorized_search(problem.weights)
-        else:
-            self.stats.blossom_clusters += 1
-            local_pairs = min_weight_perfect_matching(problem.weights)
-            weight = problem.total_weight(local_pairs)
+        local_pairs, weight, _ = vectorized_search(problem.weights)
         return _ClusterSolution(
             pairs=matching_to_detectors(
                 local_pairs, problem.active, problem.has_virtual

@@ -30,10 +30,12 @@ The engine is exact, boundary matching included, via three steps:
    ``W[i, j] = min(d(i, j), r_i + r_j)``, with the matched path's logical
    parity recovered from the Dijkstra predecessor tree.  The resulting
    local matching problem -- identical in form to the table engine's --
-   runs through the same exhaustive-search kernels (clusters of up to
-   :data:`~repro.matching.search.MAX_SEARCH_NODES` nodes, preserving the
-   scalar tie-breaking order) or the blossom solver, and solutions are
-   memoized in the same canonical-key LRU.
+   runs through the same kernels: exhaustive search up to
+   :data:`~repro.matching.search.MAX_SEARCH_NODES` nodes (preserving the
+   scalar tie-breaking order), the subset DP
+   (:func:`~repro.matching.search.batched_dp`) up to
+   :data:`~repro.matching.search.MAX_DP_NODES`, the blossom solver above;
+   solutions are memoized in the same canonical-key LRU.
 
 Alternating trees and blossoms never materialise explicitly: the growth
 phase only *partitions* defects, and the (small) per-cluster matching is
@@ -56,8 +58,6 @@ hence the same tie order) the all-pairs table builder uses.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -66,7 +66,7 @@ from ..backend import from_device
 from ..graphs.decoding_graph import BOUNDARY, DecodingGraph
 from .blossom import min_weight_perfect_matching
 from .boundary import matching_to_detectors
-from .search import MAX_SEARCH_NODES, vectorized_search
+from .search import MAX_DP_NODES, MAX_SEARCH_NODES, batched_dp, vectorized_search
 from .sparse import (
     SparseEngineError,
     SparseStats,
@@ -75,63 +75,6 @@ from .sparse import (
 )
 
 __all__ = ["SparseBlossomEngine"]
-
-#: Widest cluster the flat enumeration kernel handles ((m - 1)!! = 10395
-#: candidate matchings at 12 nodes -- the sweet spot where one fancy
-#: gather still beats the blossom solver); wider clusters run blossom.
-_FLAT_SEARCH_LIMIT = 12
-
-
-@lru_cache(maxsize=None)
-def _flat_matchings(m: int) -> np.ndarray:
-    """All perfect matchings of ``m`` nodes as one (M, m/2, 2) tensor.
-
-    Unlike :func:`repro.matching.search.matchings_tensor` (capped at the
-    Astrea hardware model's 10 nodes and ordered to reproduce the scalar
-    search's hierarchical tie-breaking), this enumeration exists purely to
-    *minimize exactly*: cluster weights here are unquantized floats, where
-    exact ties are measure-zero, so a flat ``argmin`` in enumeration order
-    is deterministic and any minimum is an exact solution.  Built bottom-up
-    with array remapping so the tensors assemble in milliseconds.
-    """
-    if m == 2:
-        return np.array([[[0, 1]]], dtype=np.intp)
-    sub = _flat_matchings(m - 2)
-    blocks = []
-    for idx in range(1, m):
-        rest = np.array(
-            list(range(1, idx)) + list(range(idx + 1, m)), dtype=np.intp
-        )
-        head = np.broadcast_to(
-            np.array([0, idx], dtype=np.intp), (sub.shape[0], 1, 2)
-        )
-        blocks.append(np.concatenate([head, rest[sub]], axis=1))
-    tensor = np.concatenate(blocks, axis=0)
-    tensor.setflags(write=False)
-    return tensor
-
-
-@lru_cache(maxsize=None)
-def _flat_indices(m: int) -> np.ndarray:
-    """The matchings tensor as flat (row-major) weight-matrix offsets."""
-    tensor = _flat_matchings(m)
-    flat = tensor[:, :, 0] * m + tensor[:, :, 1]
-    flat.setflags(write=False)
-    return flat
-
-
-def _flat_search(
-    weights: np.ndarray,
-) -> tuple[list[tuple[int, int]], float]:
-    """Exact min-weight perfect matching by flat exhaustive enumeration."""
-    m = weights.shape[0]
-    totals = np.ascontiguousarray(weights).ravel()[_flat_indices(m)].sum(axis=1)
-    best = int(np.argmin(totals))
-    return (
-        [tuple(pair) for pair in _flat_matchings(m)[best].tolist()],
-        float(totals[best]),
-    )
-
 
 class SparseBlossomEngine:
     """Exact MWPM on decoding-graph adjacency, no all-pairs table.
@@ -218,76 +161,6 @@ class SparseBlossomEngine:
             return_predecessors=True,
             limit=limit,
         )
-        return self._match_from_growth(dets, radii, dist, pred, limit)
-
-    def solve_many(
-        self, clusters: list[np.ndarray]
-    ) -> list[tuple[list[tuple[int, int]], float, bool]]:
-        """Solve many independent syndromes with one shared Dijkstra sweep.
-
-        Results and statistics are identical to calling :meth:`solve` on
-        each entry (per-source Dijkstra runs are independent, and each
-        entry's settled-node accounting is re-restricted to its own
-        growth budget), but the single multi-source scipy call amortizes
-        per-call overhead when the table engine routes a whole batch of
-        oversized clusters at once.
-        """
-        grown: list[tuple[int, np.ndarray, np.ndarray, float]] = []
-        results: list[tuple[list[tuple[int, int]], float, bool] | None] = [
-            None
-        ] * len(clusters)
-        for i, active in enumerate(clusters):
-            dets = np.sort(np.asarray(active, dtype=np.intp))
-            if dets.size == 0:
-                results[i] = ([], 0.0, False)
-                continue
-            self._check_solvable(dets)
-            self.stats.syndromes += 1
-            if dets.size == 1:
-                self.stats.clusters += 1
-                solution = self._singleton(int(dets[0]))
-                results[i] = (
-                    list(solution.pairs),
-                    solution.weight,
-                    solution.prediction,
-                )
-                continue
-            radii = self._radii[dets]
-            limit = 2.0 * float(radii.max()) + self.tolerance
-            grown.append((i, dets, radii, limit))
-        if grown:
-            dist, pred = dijkstra(
-                self._csgraph,
-                directed=True,
-                indices=np.concatenate([dets for _, dets, _, _ in grown]),
-                return_predecessors=True,
-                limit=max(limit for _, _, _, limit in grown),
-            )
-            offset = 0
-            for i, dets, radii, limit in grown:
-                stop = offset + dets.size
-                results[i] = self._match_from_growth(
-                    dets, radii, dist[offset:stop], pred[offset:stop], limit
-                )
-                offset = stop
-        return results
-
-    def _match_from_growth(
-        self,
-        dets: np.ndarray,
-        radii: np.ndarray,
-        dist: np.ndarray,
-        pred: np.ndarray,
-        limit: float,
-    ) -> tuple[list[tuple[int, int]], float, bool]:
-        """Cluster criterion, decomposition and solving after growth.
-
-        ``dist``/``pred`` rows may come from a Dijkstra run with a larger
-        budget than this syndrome's own ``limit`` (the :meth:`solve_many`
-        sweep); entries beyond ``limit`` exceed every pair cap of this
-        syndrome, so criterion, weights and parities are unaffected and
-        only the settled-node counter needs the explicit re-restriction.
-        """
         pairwise = dist[:, dets]
         caps = radii[:, None] + radii[None, :]
         close = pairwise <= caps + self.tolerance
@@ -423,7 +296,7 @@ class SparseBlossomEngine:
         dist: np.ndarray,
         pred: np.ndarray,
     ) -> _ClusterSolution:
-        """Exact matching of a multi-defect cluster (search or blossom).
+        """Exact matching of a multi-defect cluster (search, DP or blossom).
 
         Pair weights fold the grown direct distance against the analytic
         through-boundary route, ``W[i, j] = min(d(i, j), r_i + r_j)``,
@@ -465,8 +338,11 @@ class SparseBlossomEngine:
             has_virtual = True
         if weights.shape[0] <= MAX_SEARCH_NODES:
             local_pairs, weight, _ = vectorized_search(weights)
-        elif weights.shape[0] <= _FLAT_SEARCH_LIMIT:
-            local_pairs, weight = _flat_search(weights)
+        elif weights.shape[0] <= MAX_DP_NODES:
+            self.stats.dp_clusters += 1
+            pair_tensor, totals = batched_dp(weights[None])
+            local_pairs = [(a, b) for a, b in pair_tensor[0].tolist()]
+            weight = totals[0]
         else:
             self.stats.blossom_clusters += 1
             local_pairs = min_weight_perfect_matching(weights)

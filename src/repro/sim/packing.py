@@ -11,7 +11,8 @@ Two packing layouts appear in the sampling pipeline:
   row compressed to a tuple of little-endian ``uint64`` words via
   :func:`numpy.packbits`.  Deduplicating syndromes then sorts narrow
   integer keys instead of wide boolean rows, which is what makes
-  :func:`unique_rows` fast at scale.
+  :func:`unique_rows` fast at scale.  The dedup itself is
+  :func:`unique_row_index`: one ``lexsort`` over the key columns.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "pack_rows",
     "unpack_rows",
     "pack_row_keys",
+    "unique_row_index",
     "unique_rows",
 ]
 
@@ -109,12 +111,38 @@ def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             else np.zeros(0, dtype=np.int64)
         )
         return unique, inverse, counts
-    keys = pack_row_keys(bits)
-    _, first, inverse, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    return (
-        np.ascontiguousarray(bits[first]),
-        inverse.reshape(-1).astype(np.int64),
-        counts.astype(np.int64),
-    )
+    first, inverse, counts = unique_row_index(pack_row_keys(bits))
+    return np.ascontiguousarray(bits[first]), inverse, counts
+
+
+def unique_row_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of an integer matrix, by one stable ``lexsort``.
+
+    The answer of ``np.unique(keys, axis=0, return_index=True,
+    return_inverse=True, return_counts=True)`` minus the rows themselves:
+    distinct rows in lexicographic order (first column most significant),
+    each one's first occurrence, every row's index into them and their
+    multiplicities.  Sorting the columns as plain integer keys avoids
+    ``np.unique``'s sort of a structured view of each row.
+
+    Args:
+        keys: ``(rows, k)`` integer matrix, ``k >= 1``.
+
+    Returns:
+        ``(first, inverse, counts)`` int64 arrays; ``keys[first]`` are the
+        distinct rows in order.
+    """
+    num = keys.shape[0]
+    if keys.shape[1] == 1:
+        order = np.argsort(keys[:, 0], kind="stable")
+    else:
+        order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.empty(num, dtype=bool)
+    new[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(num, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    counts = np.diff(np.append(starts, num))
+    return order[starts].astype(np.int64), inverse, counts.astype(np.int64)

@@ -18,6 +18,7 @@ from repro.sim.frame_program import (
 from repro.sim.packing import (
     pack_row_keys,
     pack_rows,
+    unique_row_index,
     unique_rows,
     unpack_rows,
 )
@@ -209,14 +210,43 @@ class TestPacking:
 
     def test_unique_rows_matches_numpy_unique(self):
         rng = np.random.default_rng(6)
-        bits = rng.random((300, 65)) < 0.05
-        unique, inverse, counts = unique_rows(bits)
-        ref = np.unique(bits, axis=0)
-        assert len(unique) == len(ref)
-        assert sorted(map(tuple, unique)) == sorted(map(tuple, ref))
-        assert (unique[inverse] == bits).all()
-        assert counts.sum() == 300
-        assert (np.bincount(inverse, minlength=len(unique)) == counts).all()
+        cases = [
+            (300, 65, 0.05),
+            (400, 64, 0.05),
+            (400, 192, 0.01),
+            (2000, 65, 0.01),  # heavy duplication: few distinct rows
+            (1, 192, 0.05),  # a single row
+        ]
+        for shots, n, density in cases:
+            bits = rng.random((shots, n)) < density
+            unique, inverse, counts = unique_rows(bits)
+            ref = np.unique(bits, axis=0)
+            assert len(unique) == len(ref)
+            assert sorted(map(tuple, unique)) == sorted(map(tuple, ref))
+            assert (unique[inverse] == bits).all()
+            assert counts.sum() == shots
+            assert (np.bincount(inverse, minlength=len(unique)) == counts).all()
+            # Bit-identical to np.unique over the packed keys: same key
+            # order, first occurrences, inverse and counts.
+            keys = pack_row_keys(bits)
+            _, first, want_inverse, want_counts = np.unique(
+                keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+            )
+            assert (unique == bits[first]).all()
+            assert (inverse == want_inverse.reshape(-1)).all()
+            assert (counts == want_counts).all()
+            assert (unique_row_index(keys)[0] == first).all()
+
+    def test_unique_row_index_on_signed_columns(self):
+        rng = np.random.default_rng(7)
+        keys = rng.integers(-3, 3, size=(500, 4))
+        first, inverse, counts = unique_row_index(keys)
+        _, want_first, want_inverse, want_counts = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        assert (first == want_first).all()
+        assert (inverse == want_inverse.reshape(-1)).all()
+        assert (counts == want_counts).all()
 
     def test_unique_rows_empty_and_zero_width(self):
         unique, inverse, counts = unique_rows(np.zeros((0, 4), dtype=bool))

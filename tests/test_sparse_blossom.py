@@ -11,7 +11,10 @@ all-pairs weight table.  Here that claim is checked three ways:
 * real surface-code graphs at d = 3 and d = 5 against the dense
   per-syndrome blossom reference through :class:`MWPMDecoder`;
 * the engine's own entry points against each other (``solve`` vs
-  ``solve_many`` vs ``solve_batch``; flat-enumeration kernel vs blossom).
+  ``solve_batch``).
+
+The subset-DP kernel that solves its 12-20-node clusters is checked
+against the DP oracle in ``tests/test_subset_dp.py``.
 
 On idealized float weights the optimum is generically unique, so weights
 AND predictions must agree; on hand-built degenerate graphs several
@@ -28,7 +31,6 @@ from repro.decoders.mwpm import MWPMDecoder
 from repro.experiments.setup import DecodingSetup
 from repro.graphs.decoding_graph import BOUNDARY, DecodingGraph
 from repro.graphs.weights import GlobalWeightTable
-from repro.matching.brute_force import min_weight_perfect_matching_dp
 from repro.matching.sparse import SparseEngineError, SparseMatchingEngine
 from repro.matching.sparse_blossom import SparseBlossomEngine
 from repro.sim.dem import DetectorErrorModel, FaultMechanism
@@ -333,15 +335,6 @@ class TestEntryPoints:
             )
         return engine, cases, n
 
-    def test_solve_many_equals_scalar_solve(self):
-        engine, cases, _ = self._engine_and_cases(5)
-        scalar_engine, _, _ = self._engine_and_cases(5)
-        batched = engine.solve_many(cases)
-        scalar = [scalar_engine.solve(c) for c in cases]
-        assert batched == scalar
-        # Statistics agree too (identical growth accounting).
-        assert engine.stats.as_dict() == scalar_engine.stats.as_dict()
-
     def test_solve_batch_equals_scalar_solve(self):
         engine, cases, n = self._engine_and_cases(9, count=30)
         syndromes = np.zeros((len(cases), n), dtype=bool)
@@ -351,21 +344,6 @@ class TestEntryPoints:
         engine.clear_cache()
         scalar = [engine.solve(c) for c in cases]
         assert batch == scalar
-
-    def test_flat_search_agrees_with_dp_oracle(self):
-        """The vectorized enumeration kernel is exact on random weights."""
-        from repro.matching.sparse_blossom import _flat_search
-
-        rng = np.random.default_rng(17)
-        for m in (4, 6, 8, 10, 12):
-            for _ in range(10):
-                w = rng.uniform(0.1, 5.0, size=(m, m))
-                w = (w + w.T) / 2.0
-                np.fill_diagonal(w, 0.0)
-                pairs, weight = _flat_search(w)
-                expected_pairs, expected_weight = min_weight_perfect_matching_dp(w)
-                assert weight == pytest.approx(expected_weight, abs=1e-9)
-                assert sorted(tuple(sorted(p)) for p in pairs) == expected_pairs
 
     def test_memoization_reuses_cluster_solutions(self):
         engine, cases, _ = self._engine_and_cases(13)
